@@ -138,8 +138,8 @@ bench-workload:
 # (TestShardsOneMatchesUnsharded), and a 4-shard spec — cross-shard 2PC
 # traffic included — must be serial-vs-PDES identical under the race
 # detector (TestShardedSpecSerialVsPDES). The same identity is then checked
-# end to end through the bidl-sim CLI: full report output must be
-# byte-identical with and without -sim-workers 4.
+# end to end through the bidl-sim CLI, single-DC and across 2 datacenters:
+# full report output must be byte-identical with and without -sim-workers 4.
 shard-smoke:
 	$(GO) test -race -count=1 ./internal/scenario \
 		-run 'TestShardsOneMatchesUnsharded|TestShardedSpecSerialVsPDES'
@@ -149,6 +149,12 @@ shard-smoke:
 		-shards 4 -cross-shard 0.1 > /tmp/bidl-shard-ser.txt
 	@cmp /tmp/bidl-shard-par.txt /tmp/bidl-shard-ser.txt \
 		&& echo "shard-smoke: 4-shard PDES output byte-identical to serial"
+	$(GO) run -race ./cmd/bidl-sim -orgs 8 -dcs 2 -rate 4000 -duration 400ms \
+		-shards 2 -cross-shard 0.1 -sim-workers 4 > /tmp/bidl-shard-dc-par.txt
+	$(GO) run ./cmd/bidl-sim -orgs 8 -dcs 2 -rate 4000 -duration 400ms \
+		-shards 2 -cross-shard 0.1 > /tmp/bidl-shard-dc-ser.txt
+	@cmp /tmp/bidl-shard-dc-par.txt /tmp/bidl-shard-dc-ser.txt \
+		&& echo "shard-smoke: 2-shard 2-DC PDES output byte-identical to serial"
 
 # Perf-regression gate: re-measure the fig5 trail entry, the pipeline
 # hot-path benchmark, the workload microbenchmarks (including the

@@ -3,57 +3,48 @@
 // networks (Qi, Chen, et al., SOSP 2021), implemented as a deterministic
 // discrete-event simulation with every substrate built from scratch.
 //
-// The package re-exports the curated surface of the internal packages:
-// cluster construction, SmallBank workload generation, the metrics
-// collector, and the benchmark harness that regenerates every table and
+// Every run goes through one path: a declarative Scenario (framework,
+// cluster, network, workload, fault schedule, offered load, seed) executed
+// by RunScenario / RunScenarioWith on the shared scenario driver. The
+// package also re-exports the metrics collector, the tracer and latency
+// anatomy, and the benchmark harness that regenerates every table and
 // figure of the paper's evaluation. See DESIGN.md for the system inventory
 // and EXPERIMENTS.md for paper-vs-measured results.
 //
 // Quick start:
 //
-//	sys := bidl.NewSystem(bidl.DefaultConfig(), bidl.DefaultWorkload(50))
-//	sys.SubmitRate(20000, time.Second)        // 20k txns/s for 1s
-//	sys.Run(2 * time.Second)
-//	fmt.Println(sys.Summary(0, time.Second))
+//	var sp bidl.Scenario // setting A
+//	sp.Load.Rate = 20000 // 20k txns/s for 1s
+//	sp.Load.Window = bidl.ScenarioDuration(time.Second)
+//	res, err := bidl.RunScenario(sp)
+//	fmt.Println(res.Throughput, res.AvgLatency, res.SafetyErr)
 package bidl
 
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"github.com/bidl-framework/bidl/internal/attack"
 	"github.com/bidl-framework/bidl/internal/baseline/fabric"
 	"github.com/bidl-framework/bidl/internal/bench"
 	"github.com/bidl-framework/bidl/internal/chaos"
 	"github.com/bidl-framework/bidl/internal/core"
-	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/scenario"
-	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/trace/anatomy"
 	"github.com/bidl-framework/bidl/internal/types"
-	"github.com/bidl-framework/bidl/internal/workload"
 )
 
 // Curated re-exports. Aliases keep one canonical definition while giving
 // users a single import.
 type (
-	// Config parameterizes a BIDL deployment (§3, §6 settings).
-	Config = core.Config
-	// Cluster is a running BIDL deployment over the simulated datacenter.
+	// Cluster is a running BIDL deployment over the simulated datacenter;
+	// a RunConfig.Observe hook reaches it by asserting the Harness.
 	Cluster = core.Cluster
 	// Transaction is a client-signed smart-contract invocation.
 	Transaction = types.Transaction
-	// WorkloadConfig parameterizes the SmallBank workload (§6).
-	WorkloadConfig = workload.Config
-	// Generator produces signed SmallBank transactions.
-	Generator = workload.Generator
 	// Collector accumulates throughput/latency/abort measurements.
 	Collector = metrics.Collector
-	// Topology describes the simulated datacenter network.
-	Topology = simnet.Topology
 	// BenchOptions tunes experiment runs (Workers > 1 or < 0 enables the
 	// parallel sweep runner; tables are identical either way).
 	BenchOptions = bench.Options
@@ -66,18 +57,11 @@ type (
 	BenchReport = bench.Report
 	// Experiment regenerates one of the paper's tables or figures.
 	Experiment = bench.Experiment
-	// BaselineVariant selects HLF, FastFabric, or StreamChain.
-	BaselineVariant = fabric.Variant
-	// BaselineConfig parameterizes an HLF/FastFabric/StreamChain cluster.
-	BaselineConfig = fabric.Config
-	// BaselineCluster is a running baseline deployment.
+	// BaselineCluster is a running baseline (HLF/FastFabric/StreamChain)
+	// deployment, reached like Cluster through RunConfig.Observe.
 	BaselineCluster = fabric.Cluster
-	// BroadcasterConfig tunes the §6.2 malicious broadcaster.
-	BroadcasterConfig = attack.BroadcasterConfig
-	// Broadcaster is the malicious-broadcaster adversary.
-	Broadcaster = attack.Broadcaster
 	// Tracer records per-transaction lifecycle spans and node/link
-	// telemetry; attach one via Config.Tracer / BaselineConfig.Tracer.
+	// telemetry; attach one via ScenarioRunConfig.Tracer.
 	Tracer = trace.Tracer
 	// TraceOptions tunes a Tracer's bucket width and ring capacities.
 	TraceOptions = trace.Options
@@ -85,8 +69,11 @@ type (
 	TraceSummaryOptions = trace.SummaryOptions
 	// Scenario is the declarative, JSON-round-trippable experiment spec:
 	// one value describes a complete simulated deployment and run
-	// (framework, protocol, topology, workload, attack, load, seed).
+	// (framework, protocol, topology, workload, faults, load, seed).
 	Scenario = scenario.Scenario
+	// FaultSpec is one entry of a scenario's fault schedule, the paper's
+	// adversaries (leader, broadcaster, smart) included.
+	FaultSpec = scenario.FaultSpec
 	// ScenarioResult summarizes one scenario run.
 	ScenarioResult = scenario.Result
 	// ScenarioRunConfig carries runtime-only knobs (tracer, observer).
@@ -145,57 +132,9 @@ const (
 	ProtoSBFT     = core.ProtoSBFT
 )
 
-// Baseline variants.
-const (
-	HLF         = fabric.HLF
-	FastFabric  = fabric.FastFabric
-	StreamChain = fabric.StreamChain
-)
-
-// DefaultConfig returns the paper's evaluation setting A (4 consensus
-// nodes, 50 organizations).
-func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultWorkload returns the standard SmallBank workload over numOrgs
-// organizations.
-func DefaultWorkload(numOrgs int) WorkloadConfig { return workload.DefaultConfig(numOrgs) }
-
-// DefaultTopology returns the paper's single-datacenter network (0.2 ms
-// RTT, 40 Gbps).
-func DefaultTopology() Topology { return simnet.DefaultTopology() }
-
-// NewTracer returns a tracing sink; attach it via Config.Tracer (or
-// BaselineConfig.Tracer) before building the cluster. Zero options pick
-// 10 ms telemetry buckets and a 256k-event span ring.
+// NewTracer returns a tracing sink; attach it via ScenarioRunConfig.Tracer.
+// Zero options pick 10 ms telemetry buckets and a 256k-event span ring.
 func NewTracer(o TraceOptions) *Tracer { return trace.New(o) }
-
-// MultiDCTopology returns the §6.4 cross-datacenter network with the given
-// shared inter-datacenter bandwidth in bytes/s (see GbpsBandwidth).
-func MultiDCTopology(interDCBandwidth int64) Topology {
-	return simnet.MultiDCTopology(interDCBandwidth)
-}
-
-// GbpsBandwidth converts gigabits per second to the byte/s unit topologies
-// use.
-func GbpsBandwidth(gbps float64) int64 { return int64(gbps * float64(simnet.Gbps)) }
-
-// NewBaseline builds an HLF/FastFabric/StreamChain cluster.
-func NewBaseline(cfg BaselineConfig) *BaselineCluster { return fabric.NewCluster(cfg) }
-
-// DefaultBaselineConfig returns setting A for the given baseline variant.
-func DefaultBaselineConfig(v fabric.Variant) BaselineConfig { return fabric.DefaultConfig(v) }
-
-// NewBroadcaster attaches the §6.2 malicious broadcaster to a cluster.
-func NewBroadcaster(c *Cluster, gen *Generator, cfg BroadcasterConfig) *Broadcaster {
-	return attack.NewBroadcaster(c, gen, cfg)
-}
-
-// DefaultBroadcasterConfig returns an always-on broadcaster configuration.
-func DefaultBroadcasterConfig() BroadcasterConfig { return attack.DefaultBroadcasterConfig() }
-
-// EnableMaliciousLeader turns consensus node idx's sequencer malicious
-// (Table 4 S2).
-func EnableMaliciousLeader(c *Cluster, idx int) { attack.EnableMaliciousLeader(c, idx) }
 
 // Scenario framework names.
 const (
@@ -297,134 +236,3 @@ func CompareWorkload(baseline, current WorkloadStats, tol GateTolerances) *GateR
 
 // LoadBenchReport parses a committed BENCH_serial.json-style trail file.
 func LoadBenchReport(path string) (*BenchReport, error) { return bench.LoadReport(path) }
-
-// BaselineSystem bundles a baseline (HLF/FastFabric/StreamChain) cluster
-// with a workload generator and registered clients.
-type BaselineSystem struct {
-	Cluster *BaselineCluster
-	Gen     *Generator
-}
-
-// NewBaselineSystem builds a baseline cluster with clients and seeded state.
-func NewBaselineSystem(cfg BaselineConfig, w WorkloadConfig) *BaselineSystem {
-	c := fabric.NewCluster(cfg)
-	w.NumOrgs = cfg.NumOrgs
-	gen := workload.NewGenerator(w, c.Scheme)
-	ids := make([]crypto.Identity, w.NumClients)
-	for i := range ids {
-		ids[i] = gen.Client(i)
-	}
-	c.RegisterClients(ids)
-	c.Prepopulate(gen.Prepopulate)
-	return &BaselineSystem{Cluster: c, Gen: gen}
-}
-
-// Submit schedules transactions for client submission at virtual time at.
-func (s *BaselineSystem) Submit(at time.Duration, txns ...*Transaction) {
-	s.Cluster.SubmitAt(at, txns...)
-}
-
-// SubmitRate schedules an offered load of rate txns/s over [0, window).
-// The total scheduled is exactly round(rate * window_seconds).
-func (s *BaselineSystem) SubmitRate(rate float64, window time.Duration) int {
-	return bench.ScheduleTicks(rate, window, func(at time.Duration, n int) {
-		s.Cluster.SubmitAt(at, s.Gen.Batch(n)...)
-	})
-}
-
-// Run advances the simulation to absolute virtual time t.
-func (s *BaselineSystem) Run(t time.Duration) { s.Cluster.Run(t) }
-
-// Collector exposes the metrics collector.
-func (s *BaselineSystem) Collector() *Collector { return s.Cluster.Collector }
-
-// CheckSafety verifies ledgers and states across all peers.
-func (s *BaselineSystem) CheckSafety() error { return s.Cluster.CheckSafety() }
-
-// Summary computes headline metrics over [from, to).
-func (s *BaselineSystem) Summary(from, to time.Duration) Summary {
-	col := s.Cluster.Collector
-	return Summary{
-		Throughput:  col.EffectiveThroughput(from, to),
-		AvgLatency:  col.AvgLatency(from, to),
-		P99Latency:  col.PercentileLatency(0.99, from, to),
-		Committed:   col.NumCommitted(),
-		AbortRate:   col.AbortRate(),
-		SpecSuccess: col.SpecSuccessRate(),
-	}
-}
-
-// System bundles a BIDL cluster with a workload generator and registered
-// clients — the convenient entry point for applications and examples.
-type System struct {
-	Cluster *Cluster
-	Gen     *Generator
-}
-
-// NewSystem builds a cluster, registers the workload's clients, and seeds
-// every node's world state with the SmallBank accounts.
-func NewSystem(cfg Config, w WorkloadConfig) *System {
-	c := core.NewCluster(cfg)
-	w.NumOrgs = cfg.NumOrgs
-	gen := workload.NewGenerator(w, c.Scheme)
-	ids := make([]crypto.Identity, w.NumClients)
-	for i := range ids {
-		ids[i] = gen.Client(i)
-	}
-	c.RegisterClients(ids)
-	c.Prepopulate(gen.Prepopulate)
-	return &System{Cluster: c, Gen: gen}
-}
-
-// Submit schedules transactions for client submission at virtual time at.
-func (s *System) Submit(at time.Duration, txns ...*Transaction) {
-	s.Cluster.SubmitAt(at, txns...)
-}
-
-// SubmitRate schedules an offered load of rate txns/s over [0, window),
-// returning the number of transactions scheduled — exactly
-// round(rate * window_seconds), free of float-accumulator drift.
-func (s *System) SubmitRate(rate float64, window time.Duration) int {
-	return bench.ScheduleTicks(rate, window, func(at time.Duration, n int) {
-		s.Cluster.SubmitAt(at, s.Gen.Batch(n)...)
-	})
-}
-
-// Run advances the simulation to absolute virtual time t.
-func (s *System) Run(t time.Duration) { s.Cluster.Run(t) }
-
-// Collector exposes the metrics collector.
-func (s *System) Collector() *Collector { return s.Cluster.Collector }
-
-// CheckSafety verifies ledgers and states across all correct nodes.
-func (s *System) CheckSafety() error { return s.Cluster.CheckSafety() }
-
-// Summary reports headline metrics for the window [from, to).
-type Summary struct {
-	Throughput  float64
-	AvgLatency  time.Duration
-	P99Latency  time.Duration
-	Committed   int
-	AbortRate   float64
-	SpecSuccess float64
-}
-
-// Summary computes headline metrics over [from, to).
-func (s *System) Summary(from, to time.Duration) Summary {
-	col := s.Cluster.Collector
-	return Summary{
-		Throughput:  col.EffectiveThroughput(from, to),
-		AvgLatency:  col.AvgLatency(from, to),
-		P99Latency:  col.PercentileLatency(0.99, from, to),
-		Committed:   col.NumCommitted(),
-		AbortRate:   col.AbortRate(),
-		SpecSuccess: col.SpecSuccessRate(),
-	}
-}
-
-// String renders the summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("throughput=%.0f txns/s avg_latency=%v p99=%v committed=%d abort_rate=%.2f%% spec_success=%.1f%%",
-		s.Throughput, s.AvgLatency.Round(10*time.Microsecond), s.P99Latency.Round(10*time.Microsecond),
-		s.Committed, s.AbortRate*100, s.SpecSuccess*100)
-}

@@ -5,53 +5,66 @@ import (
 	"time"
 )
 
-func TestSystemEndToEnd(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumOrgs = 8
-	cfg.BlockSize = 50
-	cfg.BlockTimeout = 5 * time.Millisecond
-	w := DefaultWorkload(cfg.NumOrgs)
-	w.NumClients = 10
-	w.Accounts = 500
-	sys := NewSystem(cfg, w)
-	n := sys.SubmitRate(5000, 200*time.Millisecond)
-	sys.Run(time.Second)
-	sum := sys.Summary(0, time.Second)
-	if sum.Committed != n {
-		t.Fatalf("committed %d of %d", sum.Committed, n)
-	}
-	if sum.AbortRate != 0 {
-		t.Fatalf("abort rate %.2f on deterministic workload", sum.AbortRate)
-	}
-	if sum.AvgLatency <= 0 || sum.AvgLatency > 100*time.Millisecond {
-		t.Fatalf("latency %v", sum.AvgLatency)
-	}
-	if err := sys.CheckSafety(); err != nil {
+// smallSpec is the 8-org deployment the package tests drive: 50-txn
+// blocks with a 5 ms timeout, 10 clients over 500 accounts, rate txns/s
+// offered for 200 ms, then a drain until virtual time end.
+func smallSpec(framework string, rate float64, end time.Duration) Scenario {
+	var sp Scenario
+	sp.Framework = framework
+	sp.Nodes.Orgs = 8
+	sp.Tuning.BlockSize = 50
+	sp.Tuning.BlockTimeout = ScenarioDuration(5 * time.Millisecond)
+	sp.Workload.Clients = 10
+	sp.Workload.Accounts = 500
+	sp.Workload.Seed = 7
+	sp.Load.Rate = rate
+	sp.Load.Window = ScenarioDuration(200 * time.Millisecond)
+	sp.Load.Drain = ScenarioDuration(end - 200*time.Millisecond)
+	return sp
+}
+
+// mustRun runs a scenario that must validate and pass its safety audit.
+func mustRun(t *testing.T, sp Scenario, rc ScenarioRunConfig) ScenarioResult {
+	t.Helper()
+	res, err := RunScenarioWith(sp, rc)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.SafetyErr != nil {
+		t.Fatalf("%s: %v", sp.Framework, res.SafetyErr)
+	}
+	return res
+}
+
+// scalars strips a result to its comparable summary values.
+func scalars(r ScenarioResult) ScenarioResult {
+	r.Collector, r.Anatomy = nil, nil
+	return r
+}
+
+func TestSystemEndToEnd(t *testing.T) {
+	res := mustRun(t, smallSpec(FrameworkBIDL, 5000, time.Second), ScenarioRunConfig{})
+	if got := res.Collector.NumCommitted(); got != res.Submitted {
+		t.Fatalf("committed %d of %d", got, res.Submitted)
+	}
+	if res.AbortRate != 0 {
+		t.Fatalf("abort rate %.2f on deterministic workload", res.AbortRate)
+	}
+	if res.AvgLatency <= 0 || res.AvgLatency > 100*time.Millisecond {
+		t.Fatalf("latency %v", res.AvgLatency)
 	}
 }
 
 func TestBaselineSystemEndToEnd(t *testing.T) {
-	for _, v := range []BaselineVariant{HLF, FastFabric, StreamChain} {
-		cfg := DefaultBaselineConfig(v)
-		cfg.NumOrgs = 8
-		cfg.BlockSize = 50
-		cfg.BlockTimeout = 5 * time.Millisecond
-		if v == StreamChain {
-			cfg.BlockSize = 1
-			cfg.BlockTimeout = 500 * time.Microsecond
+	for _, fw := range []string{FrameworkHLF, FrameworkFastFabric, FrameworkStreamChain} {
+		sp := smallSpec(fw, 1000, 2*time.Second)
+		if fw == FrameworkStreamChain {
+			sp.Tuning.BlockSize = 1
+			sp.Tuning.BlockTimeout = ScenarioDuration(500 * time.Microsecond)
 		}
-		w := DefaultWorkload(cfg.NumOrgs)
-		w.NumClients = 10
-		w.Accounts = 500
-		sys := NewBaselineSystem(cfg, w)
-		n := sys.SubmitRate(1000, 200*time.Millisecond)
-		sys.Run(2 * time.Second)
-		if got := sys.Summary(0, 2*time.Second).Committed; got != n {
-			t.Fatalf("variant %v committed %d of %d", v, got, n)
-		}
-		if err := sys.CheckSafety(); err != nil {
-			t.Fatal(err)
+		res := mustRun(t, sp, ScenarioRunConfig{})
+		if got := res.Collector.NumCommitted(); got != res.Submitted {
+			t.Fatalf("%s committed %d of %d", fw, got, res.Submitted)
 		}
 	}
 }
@@ -80,20 +93,10 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 }
 
 func TestDeterministicSystems(t *testing.T) {
-	run := func() Summary {
-		cfg := DefaultConfig()
-		cfg.NumOrgs = 8
-		cfg.BlockSize = 50
-		w := DefaultWorkload(cfg.NumOrgs)
-		w.NumClients = 10
-		w.Accounts = 500
-		sys := NewSystem(cfg, w)
-		sys.SubmitRate(3000, 200*time.Millisecond)
-		sys.Run(time.Second)
-		return sys.Summary(0, time.Second)
+	run := func() ScenarioResult {
+		return scalars(mustRun(t, smallSpec(FrameworkBIDL, 3000, time.Second), ScenarioRunConfig{}))
 	}
-	a, b := run(), run()
-	if a != b {
+	if a, b := run(), run(); a != b {
 		t.Fatalf("identical runs diverge: %+v vs %+v", a, b)
 	}
 }

@@ -17,11 +17,13 @@
 // -j concurrent workers; per-seed results print in seed order and are
 // identical to running each seed alone.
 //
-// With -scenario FILE, the deployment is described by a declarative JSON
-// scenario (see DESIGN.md §9) instead of the topology/workload/attack flags,
-// which are ignored; -seed, -runs, -j, -timeline, and the trace flags still
-// apply. `bidl-bench -dump-scenarios` emits the registry's specs in the same
-// format as a starting point.
+// The topology/workload/load/attack flags are shorthand for a declarative
+// scenario (see DESIGN.md §9): flag mode builds that spec and runs it
+// exactly as -scenario would. With -scenario FILE, the spec comes from the
+// file and those flags are ignored; -seed, -runs, -j, -sim-workers,
+// -shards, -cross-shard, -timeline, and the trace flags apply in both
+// modes. `bidl-bench -dump-scenarios` emits the registry's specs in the
+// same format as a starting point.
 package main
 
 import (
@@ -37,25 +39,92 @@ import (
 	"github.com/bidl-framework/bidl"
 )
 
+// options are the flags that shape the simulated deployment. Flag mode
+// lowers them onto a Scenario (scenario); both modes then apply the seed,
+// PDES and sharding overlays (overlay) and run through bidl.RunScenarioWith.
+type options struct {
+	orgs, perOrg, consensus, dcs int
+	protocol, attack             string
+	rate, contention, nondet     float64
+	loss, interGbps, crossShard  float64
+	duration                     time.Duration
+	simWorkers, shards           int
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	fs.IntVar(&o.orgs, "orgs", 50, "number of organizations")
+	fs.IntVar(&o.perOrg, "nodes-per-org", 1, "normal nodes per organization")
+	fs.IntVar(&o.consensus, "consensus", 4, "number of consensus nodes (3f+1)")
+	fs.StringVar(&o.protocol, "protocol", bidl.ProtoBFTSmart, "bft-smart|hotstuff|zyzzyva|sbft")
+	fs.Float64Var(&o.rate, "rate", 20000, "offered load (txns/s)")
+	fs.DurationVar(&o.duration, "duration", time.Second, "load window (virtual time)")
+	fs.Float64Var(&o.contention, "contention", 0, "contention ratio [0,1)")
+	fs.Float64Var(&o.nondet, "nondet", 0, "non-deterministic txn ratio [0,1)")
+	fs.Float64Var(&o.loss, "loss", 0, "packet loss rate [0,1)")
+	fs.IntVar(&o.dcs, "dcs", 1, "number of datacenters")
+	fs.Float64Var(&o.interGbps, "inter-gbps", 0, "shared inter-DC bandwidth (0 = unlimited)")
+	fs.StringVar(&o.attack, "attack", "none", "none|leader|broadcaster|smart")
+	fs.IntVar(&o.simWorkers, "sim-workers", 0, "PDES workers inside the simulation (0/1 = serial engine)")
+	fs.IntVar(&o.shards, "shards", 0, "shard the deployment into this many BIDL channels (0/1 = single channel)")
+	fs.Float64Var(&o.crossShard, "cross-shard", 0, "cross-shard transfer ratio [0,1] (requires -shards > 1)")
+}
+
+// scenario is flag mode's spec: the deployment flags as a Scenario. A
+// multi-DC deployment takes the §6.4 timeouts, and -attack arms one
+// adversary fault: the malicious leader from time zero, a broadcaster once
+// the warm-up (a fifth of the window) ends.
+func (o *options) scenario() (bidl.Scenario, error) {
+	var sp bidl.Scenario
+	sp.Protocol = o.protocol
+	sp.Nodes.Orgs = o.orgs
+	sp.Nodes.PerOrg = o.perOrg
+	sp.Nodes.Consensus = o.consensus
+	sp.Nodes.Datacenters = o.dcs
+	sp.Topology.LossRate = o.loss
+	sp.Topology.InterDCGbps = o.interGbps
+	sp.Workload.Contention = o.contention
+	sp.Workload.Nondet = o.nondet
+	sp.Load.Rate = o.rate
+	sp.Load.Window = bidl.ScenarioDuration(o.duration)
+	if o.dcs > 1 {
+		sp.Tuning.ViewTimeout = bidl.ScenarioDuration(400 * time.Millisecond)
+		sp.Tuning.BlockTimeout = bidl.ScenarioDuration(25 * time.Millisecond)
+	}
+	switch o.attack {
+	case "none":
+	case "leader":
+		sp.Faults = []bidl.FaultSpec{{Kind: o.attack}}
+	case "broadcaster", "smart":
+		sp.Faults = []bidl.FaultSpec{{Kind: o.attack, At: bidl.ScenarioDuration(o.duration / 5)}}
+	default:
+		return sp, fmt.Errorf("unknown attack %q", o.attack)
+	}
+	return sp, nil
+}
+
+// overlay applies the run-shaping flags to either mode's spec: the run's
+// seed always, and -sim-workers/-shards/-cross-shard where the spec leaves
+// the field unset.
+func (o *options) overlay(sp bidl.Scenario, seed int64) bidl.Scenario {
+	sp.Seed = seed
+	if o.simWorkers > 1 && sp.SimWorkers == 0 {
+		sp.SimWorkers = o.simWorkers
+	}
+	if o.shards > 1 && sp.Shards == 0 {
+		sp.Shards = o.shards
+	}
+	if o.crossShard > 0 && sp.Shards > 1 && sp.CrossShardRatio == 0 {
+		sp.CrossShardRatio = o.crossShard
+	}
+	return sp
+}
+
 func main() {
+	var o options
+	o.register(flag.CommandLine)
 	var (
-		orgs       = flag.Int("orgs", 50, "number of organizations")
-		nnPerOrg   = flag.Int("nodes-per-org", 1, "normal nodes per organization")
-		consensus  = flag.Int("consensus", 4, "number of consensus nodes (3f+1)")
-		protocol   = flag.String("protocol", bidl.ProtoBFTSmart, "bft-smart|hotstuff|zyzzyva|sbft")
-		rate       = flag.Float64("rate", 20000, "offered load (txns/s)")
-		duration   = flag.Duration("duration", time.Second, "load window (virtual time)")
-		contention = flag.Float64("contention", 0, "contention ratio [0,1)")
-		nondet     = flag.Float64("nondet", 0, "non-deterministic txn ratio [0,1)")
-		loss       = flag.Float64("loss", 0, "packet loss rate [0,1)")
-		dcs        = flag.Int("dcs", 1, "number of datacenters")
-		interGbps  = flag.Float64("inter-gbps", 0, "shared inter-DC bandwidth (0 = unlimited)")
-		attackMode = flag.String("attack", "none", "none|leader|broadcaster|smart")
 		scenPath   = flag.String("scenario", "", "run a declarative scenario JSON file (topology/workload/attack flags are ignored)")
 		listFaults = flag.Bool("list-faults", false, "list the fault kinds a scenario's faults array accepts and exit")
-		simWork    = flag.Int("sim-workers", 0, "PDES workers inside the simulation (0/1 = serial engine)")
-		shards     = flag.Int("shards", 0, "shard the deployment into this many BIDL channels (0/1 = single channel)")
-		crossShard = flag.Float64("cross-shard", 0, "cross-shard transfer ratio [0,1] (requires -shards > 1)")
 		seed       = flag.Int64("seed", 1, "simulation seed (first seed with -runs)")
 		runs       = flag.Int("runs", 1, "independent runs on consecutive seeds")
 		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent runs with -runs > 1")
@@ -76,6 +145,10 @@ func main() {
 		}
 		return
 	}
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "bidl-sim: -runs must be >= 1 (got %d)\n", *runs)
+		os.Exit(2)
+	}
 
 	tracing := *traceOut != "" || *traceJSONL != "" || *telemetry || *anatomyOut != "" || *anatomyCSV != ""
 	if tracing && *runs != 1 {
@@ -83,12 +156,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// In scenario mode the spec supplies topology, workload, load, and
-	// attack; loadWindow/loadRate/total feed the report lines and timeline
-	// bucketing in both modes.
+	// Both modes end in one spec: read from -scenario, or synthesized from
+	// the deployment flags. Flag mistakes are usage errors (exit 2); a bad
+	// scenario file is a run error (exit 1).
 	var spec bidl.Scenario
-	loadWindow, loadRate := *duration, *rate
-	total := *duration + 500*time.Millisecond
 	if *scenPath != "" {
 		data, err := os.ReadFile(*scenPath)
 		if err != nil {
@@ -104,12 +175,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bidl-sim: %s: %v\n", *scenPath, err)
 			os.Exit(1)
 		}
-		loadWindow, loadRate = spec.Load.Window.D(), spec.Load.Rate
-		drain := spec.Load.Drain.D()
-		if drain == 0 {
-			drain = 500 * time.Millisecond
-		}
-		total = loadWindow + drain
 		// The spec's own seed is the first seed unless -seed is given.
 		seedSet := false
 		flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
@@ -121,167 +186,66 @@ func main() {
 			name = *scenPath
 		}
 		fmt.Printf("scenario %q: framework=%s\n", name, spec.WithDefaults().Framework)
-	}
-
-	// -shards in flag mode synthesizes a declarative spec from the topology/
-	// workload/load flags and runs it through the scenario driver — the
-	// multi-channel harness is a scenario-layer construct, not a Cluster
-	// mode. In scenario mode the flag overlays a spec that leaves `shards`
-	// unset, mirroring -sim-workers.
-	useSpec := *scenPath != ""
-	if !useSpec && *shards > 1 {
-		if *attackMode != "none" {
-			fmt.Fprintln(os.Stderr, "bidl-sim: -shards is incompatible with -attack (use a scenario faults schedule)")
-			os.Exit(2)
+	} else {
+		var err error
+		if spec, err = o.scenario(); err == nil {
+			err = o.overlay(spec, *seed).Validate()
 		}
-		spec.Shards = *shards
-		spec.CrossShardRatio = *crossShard
-		spec.Protocol = *protocol
-		spec.Seed = *seed
-		spec.Nodes.Orgs = *orgs
-		spec.Nodes.PerOrg = *nnPerOrg
-		spec.Nodes.Consensus = *consensus
-		spec.Nodes.Datacenters = *dcs
-		spec.Topology.LossRate = *loss
-		spec.Topology.InterDCGbps = *interGbps
-		spec.Workload.Contention = *contention
-		spec.Workload.Nondet = *nondet
-		spec.Load.Rate = *rate
-		spec.Load.Window = bidl.ScenarioDuration(*duration)
-		if err := spec.Validate(); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "bidl-sim:", err)
 			os.Exit(2)
 		}
-		useSpec = true
-		fmt.Printf("sharded deployment: %d channels, cross-shard ratio %g\n", *shards, *crossShard)
+		if o.shards > 1 {
+			fmt.Printf("sharded deployment: %d channels, cross-shard ratio %g\n", o.shards, o.crossShard)
+		}
 	}
+	loadWindow, loadRate := spec.Load.Window.D(), spec.Load.Rate
+	drain := spec.Load.Drain.D()
+	if drain == 0 {
+		drain = 500 * time.Millisecond
+	}
+	total := loadWindow + drain
 
 	type outcome struct {
-		seed      int64
-		submitted int
-		summary   bidl.Summary
-		report    string
-		safetyErr error
-		timeline  []float64
-		tracer    *bidl.Tracer
-		reg       *bidl.Registry
+		seed       int64
+		submitted  int
+		throughput float64
+		summary    string
+		report     string
+		safetyErr  error
+		timeline   []float64
+		tracer     *bidl.Tracer
+		reg        *bidl.Registry
 	}
 
 	runOne := func(runSeed int64) outcome {
-		cfg := bidl.DefaultConfig()
-		cfg.NumOrgs = *orgs
-		cfg.NormalPerOrg = *nnPerOrg
-		cfg.NumConsensus = *consensus
-		cfg.F = (*consensus - 1) / 3
-		cfg.Protocol = *protocol
-		cfg.Seed = runSeed
-		cfg.NumDCs = *dcs
-		cfg.Topology.LossRate = *loss
-		if *dcs > 1 {
-			cfg.Topology = bidl.MultiDCTopology(bidl.GbpsBandwidth(*interGbps))
-			cfg.Topology.LossRate = *loss
-			cfg.ViewTimeout = 400 * time.Millisecond
-			cfg.BlockTimeout = 25 * time.Millisecond
-		}
-
+		rc := bidl.ScenarioRunConfig{}
 		if tracing {
-			cfg.Tracer = bidl.NewTracer(bidl.TraceOptions{})
+			rc.Tracer = bidl.NewTracer(bidl.TraceOptions{})
 		}
-		// Attacks mutate cluster state through paths the partitioned engine
-		// does not order, so PDES applies only to attack-free runs (the
-		// scenario layer enforces the same rule).
-		if *attackMode == "none" {
-			cfg.SimWorkers = *simWork
+		res, err := bidl.RunScenarioWith(o.overlay(spec, runSeed), rc)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bidl-sim:", err)
+			os.Exit(1)
 		}
-
-		w := bidl.DefaultWorkload(*orgs)
-		w.ContentionRatio = *contention
-		w.NondetRatio = *nondet
-		w.Seed = runSeed
-
-		sys := bidl.NewSystem(cfg, w)
-
-		switch *attackMode {
-		case "none":
-		case "leader":
-			bidl.EnableMaliciousLeader(sys.Cluster, sys.Cluster.LeaderIndex())
-		case "broadcaster", "smart":
-			bcfg := bidl.DefaultBroadcasterConfig()
-			if *attackMode == "smart" {
-				bcfg.TargetLeader = sys.Cluster.LeaderIndex()
-			}
-			b := bidl.NewBroadcaster(sys.Cluster, sys.Gen, bcfg)
-			b.Start(*duration / 5)
-		default:
-			fmt.Fprintf(os.Stderr, "bidl-sim: unknown attack %q\n", *attackMode)
-			os.Exit(2)
-		}
-
-		n := sys.SubmitRate(*rate, *duration)
-		sys.Run(*duration + 500*time.Millisecond)
-
-		col := sys.Collector()
+		col := res.Collector
 		out := outcome{
-			seed:      runSeed,
-			submitted: n,
-			summary:   sys.Summary(*duration/5, *duration),
+			seed:       runSeed,
+			submitted:  res.Submitted,
+			throughput: res.Throughput,
+			summary: fmt.Sprintf("throughput=%.0f txns/s avg_latency=%v p99=%v committed=%d abort_rate=%.2f%% spec_success=%.1f%%",
+				res.Throughput, res.AvgLatency.Round(10*time.Microsecond), res.P99.Round(10*time.Microsecond),
+				col.NumCommitted(), res.AbortRate*100, res.SpecSuccess*100),
 			report: fmt.Sprintf("view_changes=%d conflicts=%d reexecuted=%d denied_clients=%d",
 				col.ViewChanges, col.Conflicts, col.Reexecuted, col.DeniedClients),
-			safetyErr: sys.CheckSafety(),
+			safetyErr: res.SafetyErr,
+			tracer:    rc.Tracer,
+			reg:       col.Reg,
 		}
 		if *timeline && *runs == 1 {
 			out.timeline = col.Timeline(100*time.Millisecond, total)
 		}
-		out.tracer = cfg.Tracer
-		out.reg = col.Reg
 		return out
-	}
-
-	if useSpec {
-		runOne = func(runSeed int64) outcome {
-			sp := spec
-			sp.Seed = runSeed
-			if *simWork > 1 && sp.SimWorkers == 0 {
-				sp.SimWorkers = *simWork
-			}
-			if *shards > 1 && sp.Shards == 0 {
-				sp.Shards = *shards
-			}
-			if *crossShard > 0 && sp.Shards > 1 && sp.CrossShardRatio == 0 {
-				sp.CrossShardRatio = *crossShard
-			}
-			rc := bidl.ScenarioRunConfig{}
-			if tracing {
-				rc.Tracer = bidl.NewTracer(bidl.TraceOptions{})
-			}
-			res, err := bidl.RunScenarioWith(sp, rc)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bidl-sim:", err)
-				os.Exit(1)
-			}
-			col := res.Collector
-			out := outcome{
-				seed:      runSeed,
-				submitted: res.Submitted,
-				summary: bidl.Summary{
-					Throughput:  res.Throughput,
-					AvgLatency:  res.AvgLatency,
-					P99Latency:  res.P99,
-					Committed:   col.NumCommitted(),
-					AbortRate:   res.AbortRate,
-					SpecSuccess: res.SpecSuccess,
-				},
-				report: fmt.Sprintf("view_changes=%d conflicts=%d reexecuted=%d denied_clients=%d",
-					col.ViewChanges, col.Conflicts, col.Reexecuted, col.DeniedClients),
-				safetyErr: res.SafetyErr,
-				tracer:    rc.Tracer,
-				reg:       col.Reg,
-			}
-			if *timeline && *runs == 1 {
-				out.timeline = col.Timeline(100*time.Millisecond, total)
-			}
-			return out
-		}
 	}
 
 	// Fan the seeds out to a worker pool; results land in seed order.
@@ -325,7 +289,7 @@ func main() {
 		} else {
 			fmt.Println("safety check: all correct nodes consistent")
 		}
-		sumTput += out.summary.Throughput
+		sumTput += out.throughput
 		if out.timeline != nil {
 			fmt.Println("\nthroughput timeline (100ms buckets):")
 			for i, v := range out.timeline {
@@ -351,14 +315,10 @@ func main() {
 			}
 		}
 		if *anatomyOut != "" || *anatomyCSV != "" {
-			// Fault windows come from the scenario's schedule (flag mode has
-			// no faults); offline, bidl-report -scenario recovers the same.
-			var windows []bidl.AnatomyWindow
-			if *scenPath != "" {
-				windows = spec.AnatomyWindows()
-			}
+			// Fault windows come from the spec's schedule; offline,
+			// bidl-report -scenario recovers the same.
 			rep := bidl.ComputeAnatomy(tr.TxEvents(), tr.PhaseEvents(),
-				bidl.AnatomyOptions{Windows: windows})
+				bidl.AnatomyOptions{Windows: spec.AnatomyWindows()})
 			if *anatomyOut == "-" {
 				fmt.Println()
 				if err := rep.Render(os.Stdout); err != nil {

@@ -14,28 +14,32 @@ import (
 )
 
 func main() {
-	const rate = 15000
-	window := time.Second
-
 	run := func(gbps float64, optDisabled bool) (float64, uint64) {
-		cfg := bidl.DefaultConfig()
-		cfg.NumDCs = 4
-		cfg.Topology = bidl.MultiDCTopology(bidl.GbpsBandwidth(gbps))
-		cfg.Topology.InterLatency = 10 * time.Millisecond // 20 ms RTT
-		cfg.ViewTimeout = 400 * time.Millisecond
-		cfg.BlockTimeout = 25 * time.Millisecond
-		if optDisabled {
-			cfg.DisableMulticast = true
-			cfg.ConsensusOnPayload = true
-		}
-		sys := bidl.NewSystem(cfg, bidl.DefaultWorkload(cfg.NumOrgs))
-		sys.SubmitRate(rate, window)
-		sys.Run(window + time.Second)
-		if err := sys.CheckSafety(); err != nil {
+		var sp bidl.Scenario
+		sp.Nodes.Datacenters = 4
+		sp.Topology.InterDCGbps = gbps
+		sp.Topology.InterLatency = bidl.ScenarioDuration(10 * time.Millisecond) // 20 ms RTT
+		sp.Tuning.ViewTimeout = bidl.ScenarioDuration(400 * time.Millisecond)
+		sp.Tuning.BlockTimeout = bidl.ScenarioDuration(25 * time.Millisecond)
+		sp.Tuning.DisableMulticast = optDisabled
+		sp.Tuning.ConsensusOnPayload = optDisabled
+		sp.Workload.Seed = 7
+		sp.Load.Rate = 15000
+		sp.Load.Window = bidl.ScenarioDuration(time.Second)
+		sp.Load.Warmup = bidl.ScenarioDuration(300 * time.Millisecond)
+		sp.Load.Drain = bidl.ScenarioDuration(time.Second)
+
+		var interDC uint64
+		res, err := bidl.RunScenarioWith(sp, bidl.ScenarioRunConfig{
+			Observe: func(h bidl.Harness) { interDC = h.(*bidl.Cluster).Net.InterDCBytes() },
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
-		return sys.Summary(300*time.Millisecond, window).Throughput,
-			sys.Cluster.Net.InterDCBytes()
+		if res.SafetyErr != nil {
+			log.Fatal(res.SafetyErr)
+		}
+		return res.Throughput, interDC
 	}
 
 	fmt.Println("BIDL across 4 datacenters (20 ms inter-DC RTT), offered 15k txns/s")

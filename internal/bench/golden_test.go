@@ -26,14 +26,12 @@ func goldenOptions() Options { return Options{Scale: 0.05, Seed: 7, Workers: 1} 
 // cross-shard ratio.
 var goldenIDs = []string{"ablation", "table2", "fig7", "table4", "anatomy", "contention", "sharding"}
 
-// TestGoldenScenarioTables is the behavior-preservation gate for the
-// scenario-layer refactor: running registry experiments through the
-// declarative scenario driver must reproduce the pre-refactor tables
-// byte-for-byte (rendered text + CSV) AND execute exactly the same number
-// of virtual events. The files under testdata/ were generated by the
-// pre-refactor imperative harness (bidlRun/fabricRun) at the same options.
-// Regenerate deliberately with: go test ./internal/bench -run
-// TestGoldenScenarioTables -golden-update
+// TestGoldenScenarioTables is the behavior-preservation gate for the run
+// path: running registry experiments through the declarative scenario
+// driver must reproduce the pinned tables byte-for-byte (rendered text +
+// CSV) AND execute exactly the same number of virtual events. The files
+// under testdata/ are only regenerated on a deliberate behavior change:
+// go test ./internal/bench -run TestGoldenScenarioTables -golden-update
 func TestGoldenScenarioTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment sweeps")

@@ -67,9 +67,9 @@ func NewInjector(env Env, faults []Fault, seed int64) *Injector {
 
 // Install schedules every fault and, when the schedule needs one, hooks the
 // network's DropFilter (composing with any filter already installed).
-// Kinds that must preserve the legacy attack arming order (leader at time
-// zero, broadcaster endpoint registration) apply immediately rather than
-// through a timer.
+// The adversary kinds apply immediately rather than through a timer (leader
+// at time zero, broadcaster endpoint registration): that arming order is
+// what the Table 4 and Fig 7 goldens pin.
 func (in *Injector) Install() {
 	needFilter := false
 	for _, f := range in.faults {
@@ -133,8 +133,8 @@ func (in *Injector) schedule(f Fault) {
 		in.env.Sim.At(f.At+f.Duration, func() { in.env.SetLeaderEvil(false) })
 	case KindLeader:
 		if f.At == 0 {
-			// Legacy attack semantics: the malicious leader is armed
-			// before the first event, not by a time-zero timer.
+			// Armed before the first event, not by a time-zero timer:
+			// the order the Table 4 goldens pin.
 			in.env.SetLeaderEvil(true)
 		} else {
 			in.env.Sim.At(f.At, func() { in.env.SetLeaderEvil(true) })

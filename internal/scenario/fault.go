@@ -63,58 +63,26 @@ func (f FaultSpec) fault() chaos.Fault {
 	}
 }
 
-// attackFault lowers the legacy attack spec onto the fault schedule: a
-// leader attack is a permanent time-zero leader fault, the broadcaster
-// kinds map field-for-field. The zero AttackSpec compiles to a zero Fault
-// (Kind ""), which compiledFaults skips.
-func (a AttackSpec) attackFault() chaos.Fault {
-	switch a.Kind {
-	case AttackLeader:
-		return chaos.Fault{Kind: chaos.KindLeader}
-	case AttackBroadcaster, AttackSmart:
-		return chaos.Fault{
-			Kind:             a.Kind,
-			At:               a.Start.D(),
-			Window:           a.Window,
-			Interval:         a.Interval.D(),
-			DetectLag:        a.DetectLag.D(),
-			MaliciousClients: a.MaliciousClients,
-		}
-	}
-	return chaos.Fault{}
-}
-
-// FaultSchedule returns the run's compiled fault schedule — the faults
-// array plus the legacy attack spec lowered onto it — in engine form.
+// FaultSchedule returns the run's compiled fault schedule in engine form.
 // Invariant harnesses use it to locate fault-window ends (chaos.ScheduleEnd).
 func (s Scenario) FaultSchedule() []chaos.Fault { return s.compiledFaults() }
 
-// compiledFaults is the run's full fault schedule: the faults array plus
-// the legacy attack spec lowered onto it.
+// compiledFaults lowers the faults array onto the engine form.
 func (s Scenario) compiledFaults() []chaos.Fault {
-	out := make([]chaos.Fault, 0, len(s.Faults)+1)
+	out := make([]chaos.Fault, 0, len(s.Faults))
 	for _, f := range s.Faults {
 		out = append(out, f.fault())
-	}
-	if a := s.Attack.attackFault(); a.Kind != "" {
-		out = append(out, a)
 	}
 	return out
 }
 
 // faultsForShard compiles the engine-form schedule targeting shard i: the
-// spec entries whose shard field matches, plus — on shard 0 — the legacy
-// attack spec.
+// spec entries whose shard field matches.
 func (s Scenario) faultsForShard(i int) []chaos.Fault {
 	var out []chaos.Fault
 	for _, f := range s.Faults {
 		if f.Shard == i {
 			out = append(out, f.fault())
-		}
-	}
-	if i == 0 {
-		if a := s.Attack.attackFault(); a.Kind != "" {
-			out = append(out, a)
 		}
 	}
 	return out

@@ -74,12 +74,12 @@ func TestValidateFaults(t *testing.T) {
 			"requires the bidl framework",
 		},
 		{
-			// The legacy attack spec is lowered onto the same schedule, so
-			// an attack plus a conflicting fault is caught by the same
-			// overlap rule.
+			// Adversaries are ordinary schedule entries, so a second
+			// broadcaster armed while the first runs is caught by the same
+			// overlap rule as any other fault.
 			"attack-and-fault-overlap",
-			[]FaultSpec{{Kind: "broadcaster", At: ms(100)}},
-			func(s *Scenario) { s.Attack = AttackSpec{Kind: AttackBroadcaster} },
+			[]FaultSpec{{Kind: "broadcaster"}, {Kind: "broadcaster", At: ms(100)}},
+			nil,
 			"active windows overlap",
 		},
 	}

@@ -121,18 +121,6 @@ func (d *Driver) SubmitAt(at time.Duration, txns ...*types.Transaction) error {
 	return nil
 }
 
-// ScheduleRate schedules rate txns/s over window, drawing batches from
-// gen, and returns the total number of transactions scheduled.
-func (d *Driver) ScheduleRate(gen *workload.Generator, rate float64, window time.Duration) (int, error) {
-	if d.phase < phasePrepopulated {
-		return 0, fmt.Errorf("scenario: ScheduleRate before RegisterClients+Prepopulate (driver is %s)", d.phase)
-	}
-	n := ScheduleTicks(rate, window, func(at time.Duration, n int) {
-		d.h.SubmitAt(at, gen.Batch(n)...)
-	})
-	return n, nil
-}
-
 // ScheduleLoad arms the spec's full offered-load profile — shaped open-loop
 // ticks, or the closed-loop controller when load.ClosedLoop is set — and
 // returns a function reporting the total transactions submitted. For

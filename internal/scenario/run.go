@@ -62,7 +62,8 @@ type RunConfig struct {
 func Run(s Scenario) (Result, error) { return RunWith(s, RunConfig{}) }
 
 // RunWith is Run with runtime knobs. It is the one shared driver behind
-// every registry experiment, `bidl-sim`, and `bidl-sim -scenario`: look up
+// every registry experiment, both `bidl-sim` modes, and the public bidl
+// API: look up
 // the spec's compile target (see target.go), build that family's harness,
 // register the workload's clients, prepopulate accounts, arm the fault
 // schedule, schedule the offered load, run past the window to drain, then
@@ -332,14 +333,13 @@ func (s Scenario) bidlConfig() core.Config {
 }
 
 // effectiveSimWorkers resolves the PDES concurrency for the compiled
-// config. Faulted scenarios (including the legacy attack spec) are pinned
-// to the serial engine: the injector mutates cluster state mid-run from
-// outside the partition discipline, and its drop rules must see globally
-// ordered sends. Closed-loop scenarios pin serial for the same reason —
+// config. Faulted scenarios are pinned to the serial engine: the injector
+// mutates cluster state mid-run from outside the partition discipline, and
+// its drop rules must see globally ordered sends. Closed-loop scenarios pin serial for the same reason —
 // the load controller reads cluster-wide in-flight state and schedules
 // global events mid-run.
 func (s Scenario) effectiveSimWorkers() int {
-	if s.Attack.Kind != "" || len(s.Faults) > 0 || s.Load.ClosedLoop != nil {
+	if len(s.Faults) > 0 || s.Load.ClosedLoop != nil {
 		return 0
 	}
 	return s.SimWorkers
@@ -528,15 +528,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("scenario: workload.settlement must be in [0,1] (got %g)", ws.Settlement)
 	case ws.Settlement+ws.Nondet > 1:
 		return fmt.Errorf("scenario: workload.settlement + workload.nondet must be <= 1 (got %g)", ws.Settlement+ws.Nondet)
-	}
-
-	switch s.Attack.Kind {
-	case "", AttackLeader, AttackBroadcaster, AttackSmart:
-	default:
-		return fmt.Errorf("scenario: unknown attack kind %q", s.Attack.Kind)
-	}
-	if s.Attack.Start < 0 || s.Attack.Window < 0 || s.Attack.Interval < 0 || s.Attack.DetectLag < 0 {
-		return fmt.Errorf("scenario: attack parameters must be >= 0")
 	}
 
 	if isBIDL {

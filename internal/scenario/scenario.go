@@ -1,7 +1,7 @@
 // Package scenario is the declarative experiment layer: one JSON-round-
 // trippable Scenario spec describes a complete simulated deployment —
-// framework, consensus protocol, topology, cost model, workload, attack,
-// offered load, and seed — and scenario.Run drives it through the shared,
+// framework, consensus protocol, topology, cost model, workload, fault
+// schedule, offered load, and seed — and scenario.Run drives it through the shared,
 // framework-agnostic Harness lifecycle. Purpose-built blockchain simulators
 // get their reach from specs like this one: new frameworks plug in by
 // implementing Harness, new experiments by writing data instead of Go glue.
@@ -99,8 +99,8 @@ type Scenario struct {
 	// SimWorkers requests conservative parallel discrete-event execution
 	// with this many worker goroutines (zero or one means the serial
 	// engine). A parallel run is byte-identical to a serial run at the same
-	// seed, so this is purely a wall-clock knob. Scenarios with an attack
-	// armed always run serially: adversaries mutate cluster state mid-run.
+	// seed, so this is purely a wall-clock knob. Scenarios with faults
+	// always run serially: injectors mutate cluster state mid-run.
 	SimWorkers int `json:"sim_workers,omitempty"`
 	// Shards splits the deployment into this many independently sequenced
 	// BIDL channels over one shared simulation (scenario.ShardedHarness,
@@ -128,13 +128,11 @@ type Scenario struct {
 	// Load is the offered load profile — the only group with no usable
 	// zero value: Window must be positive.
 	Load LoadSpec `json:"load"`
-	// Attack optionally arms one of the paper's adversaries. It is the
-	// legacy surface for what is now a one-entry Faults schedule; new
-	// specs should prefer Faults.
-	Attack AttackSpec `json:"attack,omitempty"`
-	// Faults is the declarative fault-injection schedule (see
-	// chaos.Kinds or `bidl-sim -list-faults` for the taxonomy). Runs
-	// with faults always use the serial simulation engine.
+	// Faults is the declarative fault-injection schedule, adversaries
+	// included: the paper's malicious leader and broadcasters are the
+	// leader, broadcaster and smart kinds (see chaos.Kinds or `bidl-sim
+	// -list-faults` for the taxonomy). Runs with faults always use the
+	// serial simulation engine.
 	Faults []FaultSpec `json:"faults"`
 	// Anatomy requests a latency-anatomy breakdown (internal/trace/anatomy)
 	// in the run's Result. When the caller supplies no tracer of its own, a
@@ -333,49 +331,12 @@ func (l LoadSpec) withShapeDefaults() LoadSpec {
 	return l
 }
 
-// Attack kinds accepted by AttackSpec.Kind.
-const (
-	AttackNone = "none"
-	// AttackLeader turns the current leader malicious (Table 4 S2): BIDL's
-	// leader sequencer emits garbage; a baseline's leader orderer proposes
-	// invalid transactions.
-	AttackLeader = "leader"
-	// AttackBroadcaster arms the §6.2 malicious broadcaster (BIDL only).
-	AttackBroadcaster = "broadcaster"
-	// AttackSmart is a broadcaster that attacks only views led by the
-	// leader observed at startup (the Fig 7 smart adversary; BIDL only).
-	AttackSmart = "smart"
-)
-
-// AttackSpec optionally arms an adversary. The zero value is "no attack".
-// Broadcaster knobs left zero take attack.DefaultBroadcasterConfig.
-type AttackSpec struct {
-	// Kind is one of "", "none", "leader", "broadcaster", "smart".
-	Kind string `json:"kind,omitempty"`
-	// Start is the virtual time a broadcaster arms (leader attacks apply
-	// at time zero regardless).
-	Start Duration `json:"start,omitempty"`
-	// Window is how many sequence numbers ahead of the observed frontier
-	// each burst contests.
-	Window int `json:"window,omitempty"`
-	// Interval is the burst period.
-	Interval Duration `json:"interval,omitempty"`
-	// DetectLag models how long the adversary needs to notice a
-	// leadership change.
-	DetectLag Duration `json:"detect_lag,omitempty"`
-	// MaliciousClients are the colluding client indices.
-	MaliciousClients []int `json:"malicious_clients"`
-}
-
 // WithDefaults returns the scenario with its framework name normalized.
 // All remaining defaulting happens at compile time (bidlConfig /
 // fabricConfig / workloadConfig) so that specs stay minimal.
 func (s Scenario) WithDefaults() Scenario {
 	if s.Framework == "" {
 		s.Framework = FrameworkBIDL
-	}
-	if s.Attack.Kind == AttackNone {
-		s.Attack.Kind = ""
 	}
 	return s
 }

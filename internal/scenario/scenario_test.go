@@ -55,7 +55,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 		Workload:  WorkloadSpec{Contention: 0.2},
 		Load: LoadSpec{Rate: 1000, Window: Duration(time.Second),
 			Warmup: Duration(100 * time.Millisecond)},
-		Attack: AttackSpec{Kind: AttackSmart, Start: Duration(200 * time.Millisecond)},
+		Faults: []FaultSpec{{Kind: "smart", At: Duration(200 * time.Millisecond)}},
 	}
 	data, err := s.Marshal()
 	if err != nil {
@@ -72,10 +72,17 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 
 // TestParseRejectsUnknownFields guards the strict decoding contract: a typo
 // in a user-authored spec must error, not silently select a default.
+// The adversary spelling that predates the faults array is gone too: a spec
+// still carrying "attack" must fail instead of running fault-free.
 func TestParseRejectsUnknownFields(t *testing.T) {
-	_, err := Parse([]byte(`{"framwork": "bidl", "load": {"rate": 10, "window": "1s"}}`))
-	if err == nil || !strings.Contains(err.Error(), "framwork") {
-		t.Fatalf("want unknown-field error naming the typo, got %v", err)
+	for _, tc := range []struct{ spec, field string }{
+		{`{"framwork": "bidl", "load": {"rate": 10, "window": "1s"}}`, "framwork"},
+		{`{"load": {"rate": 10, "window": "1s"}, "attack": {"kind": "smart"}}`, "attack"},
+	} {
+		_, err := Parse([]byte(tc.spec))
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("want unknown-field error naming %q, got %v", tc.field, err)
+		}
 	}
 }
 
@@ -122,18 +129,16 @@ func TestValidate(t *testing.T) {
 		{"contention-range", func(s *Scenario) { s.Workload.Contention = 1.5 }, "workload.contention"},
 		{"nondet-range", func(s *Scenario) { s.Workload.Nondet = -0.1 }, "workload.nondet"},
 		{"hot-fraction-range", func(s *Scenario) { s.Workload.HotFraction = 2 }, "hot_fraction"},
-		{"unknown-attack", func(s *Scenario) { s.Attack.Kind = "dos" }, "unknown attack"},
+		{"unknown-attack", func(s *Scenario) { s.Faults = []FaultSpec{{Kind: "dos"}} }, `unknown kind "dos"`},
 		{"broadcaster-on-fabric", func(s *Scenario) {
 			s.Framework = FrameworkHLF
-			s.Attack.Kind = AttackBroadcaster
+			s.Faults = []FaultSpec{{Kind: "broadcaster"}}
 		}, "requires the bidl framework"},
 		{"negative-attack-start", func(s *Scenario) {
-			s.Attack.Kind = AttackBroadcaster
-			s.Attack.Start = -1
-		}, "attack parameters"},
+			s.Faults = []FaultSpec{{Kind: "broadcaster", At: -1}}
+		}, "times must be >= 0"},
 		{"bad-malicious-client", func(s *Scenario) {
-			s.Attack.Kind = AttackSmart
-			s.Attack.MaliciousClients = []int{-3}
+			s.Faults = []FaultSpec{{Kind: "smart", MaliciousClients: []int{-3}}}
 		}, "malicious client"},
 		{"bad-bidl-protocol", func(s *Scenario) { s.Protocol = "tendermint" }, "unknown protocol"},
 		{"bad-fabric-protocol", func(s *Scenario) {
@@ -232,7 +237,7 @@ func (f *fakeHarness) VirtualEvents() uint64         { return 0 }
 // TestDriverEnforcesLifecycle is the regression test for the
 // client-registration / prepopulation ordering bug class: the shared driver
 // must reject any call sequence other than RegisterClients → Prepopulate →
-// (SubmitAt | ScheduleRate)* → Run.
+// (SubmitAt | ScheduleLoad)* → Run.
 func TestDriverEnforcesLifecycle(t *testing.T) {
 	gen := workload.NewGenerator(workload.DefaultConfig(4), crypto.NewHMACScheme([]byte("t")))
 
@@ -253,8 +258,8 @@ func TestDriverEnforcesLifecycle(t *testing.T) {
 		if err := d.SubmitAt(0); err == nil {
 			t.Fatal("SubmitAt after RegisterClients but before Prepopulate must error")
 		}
-		if _, err := d.ScheduleRate(gen, 100, time.Second); err == nil {
-			t.Fatal("ScheduleRate before Prepopulate must error")
+		if _, err := d.ScheduleLoad(gen, LoadSpec{Rate: 100, Window: Duration(time.Second)}); err == nil {
+			t.Fatal("ScheduleLoad before Prepopulate must error")
 		}
 	})
 	t.Run("run-before-prepopulate", func(t *testing.T) {
@@ -284,8 +289,9 @@ func TestDriverEnforcesLifecycle(t *testing.T) {
 		if err := d.SubmitAt(0); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := d.ScheduleRate(gen, 1000, 10*time.Millisecond); err != nil || n <= 0 {
-			t.Fatalf("ScheduleRate: n=%d err=%v", n, err)
+		n, err := d.ScheduleLoad(gen, LoadSpec{Rate: 1000, Window: Duration(10 * time.Millisecond)})
+		if err != nil || n() <= 0 {
+			t.Fatalf("ScheduleLoad: err=%v", err)
 		}
 		if err := d.Run(time.Second); err != nil {
 			t.Fatal(err)

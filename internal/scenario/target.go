@@ -103,8 +103,7 @@ func buildFabric(s Scenario, rc RunConfig) built {
 
 // buildSharded compiles the multi-channel deployment: s.Shards copies of the
 // compiled BIDL config on one shared simulation. Faults arm per shard — each
-// shard's schedule gets its own injector bound to that shard's cluster, with
-// the legacy attack spec applying to shard 0.
+// shard's schedule gets its own injector bound to that shard's cluster.
 func buildSharded(s Scenario, rc RunConfig) built {
 	cfg := s.bidlConfig()
 	cfg.Tracer = rc.Tracer

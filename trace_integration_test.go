@@ -13,21 +13,9 @@ import (
 // plus how many transactions committed.
 func tracedRun(t *testing.T) (*Tracer, int) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.NumOrgs = 8
-	cfg.BlockSize = 50
-	cfg.BlockTimeout = 5 * time.Millisecond
-	cfg.Tracer = NewTracer(TraceOptions{})
-	w := DefaultWorkload(cfg.NumOrgs)
-	w.NumClients = 10
-	w.Accounts = 500
-	sys := NewSystem(cfg, w)
-	sys.SubmitRate(3000, 200*time.Millisecond)
-	sys.Run(time.Second)
-	if err := sys.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg.Tracer, sys.Summary(0, time.Second).Committed
+	rc := ScenarioRunConfig{Tracer: NewTracer(TraceOptions{})}
+	res := mustRun(t, smallSpec(FrameworkBIDL, 3000, time.Second), rc)
+	return rc.Tracer, res.Collector.NumCommitted()
 }
 
 // TestTraceDeterminism is the acceptance gate for the tracing layer: two
@@ -116,20 +104,12 @@ func TestTraceCoversCommittedTransactions(t *testing.T) {
 // change simulation outcomes: traced and untraced same-seed runs must agree
 // on every summary metric.
 func TestUntracedSystemUnaffected(t *testing.T) {
-	run := func(traced bool) Summary {
-		cfg := DefaultConfig()
-		cfg.NumOrgs = 8
-		cfg.BlockSize = 50
+	run := func(traced bool) ScenarioResult {
+		var rc ScenarioRunConfig
 		if traced {
-			cfg.Tracer = NewTracer(TraceOptions{})
+			rc.Tracer = NewTracer(TraceOptions{})
 		}
-		w := DefaultWorkload(cfg.NumOrgs)
-		w.NumClients = 10
-		w.Accounts = 500
-		sys := NewSystem(cfg, w)
-		sys.SubmitRate(3000, 200*time.Millisecond)
-		sys.Run(time.Second)
-		return sys.Summary(0, time.Second)
+		return scalars(mustRun(t, smallSpec(FrameworkBIDL, 3000, time.Second), rc))
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("tracing changed simulation outcome:\nuntraced %+v\ntraced   %+v", a, b)
