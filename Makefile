@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: all build test race vet fmt-check ci bench-json trace-smoke \
 	profile bench-hotpath hotpath-smoke scenario-smoke pdes-smoke bench-pdes \
 	chaos-smoke anatomy-smoke bench-check workload-smoke bench-workload \
-	shard-smoke
+	shard-smoke simbench-test
 
 all: build
 
@@ -30,7 +30,12 @@ fmt-check:
 	fi
 
 ci: fmt-check vet build race trace-smoke hotpath-smoke scenario-smoke pdes-smoke chaos-smoke \
-	anatomy-smoke workload-smoke shard-smoke bench-check
+	anatomy-smoke workload-smoke shard-smoke bench-check simbench-test
+
+# simbench/ is its own module, so `go test ./...` above never reaches it;
+# run its tests here so a core change that breaks the benchmark fails CI.
+simbench-test:
+	$(GO) -C simbench test ./...
 
 # One-transaction smoke run of the end-to-end pipeline benchmark so the
 # hot-path suite can never bitrot (it also asserts the txn commits).

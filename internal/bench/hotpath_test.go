@@ -16,7 +16,9 @@ func BenchmarkPipelineHotPath(b *testing.B) { PipelineHotPath(b) }
 // before the persist-path memoization — content-key/vector-digest caching,
 // bitmask persist votes, pooled HMAC states). The ceiling leaves headroom
 // for noise but fails loudly if a hot-path regression reintroduces per-echo
-// hashing or per-vote map churn.
+// hashing or per-vote map churn. The bytes ceiling (~63 KB/op measured)
+// fails if receivers go back to re-encoding each PERSIST batch to verify
+// it, which costs ~151 KB/op.
 func TestPipelineHotPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark run")
@@ -24,5 +26,8 @@ func TestPipelineHotPathAllocs(t *testing.T) {
 	r := testing.Benchmark(BenchmarkPipelineHotPath)
 	if a := r.AllocsPerOp(); a > 400 {
 		t.Fatalf("pipeline hot path allocates %d/op; ceiling 400", a)
+	}
+	if b := r.AllocedBytesPerOp(); b > 96<<10 {
+		t.Fatalf("pipeline hot path allocates %d B/op; ceiling %d", b, 96<<10)
 	}
 }

@@ -744,7 +744,7 @@ func (n *ConsNode) flushPersist() {
 	n.persistOut = nil
 	n.ctx.Elapse(n.c.Cfg.Costs.MACCompute)
 	msg := &PersistMsg{Node: n.idx, Entries: entries}
-	msg.Sig = n.Sign(persistSigningBytes(n.idx, entries))
+	msg.seal(n.Sign)
 	if n.c.Cfg.DisableMulticast {
 		n.ctx.MulticastUnicast(n.c.groupPersist, msg)
 	} else {
@@ -879,7 +879,7 @@ func (n *ConsNode) onPersistFetch(from simnet.NodeID, m *PersistFetchReq) {
 	}
 	n.ctx.Elapse(n.c.Cfg.Costs.SigSign)
 	msg := &PersistMsg{Node: n.idx, Entries: entries}
-	msg.Sig = n.Sign(persistSigningBytes(n.idx, entries))
+	msg.seal(n.Sign)
 	n.ctx.Send(from, msg)
 }
 

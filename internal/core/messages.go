@@ -284,13 +284,19 @@ func writesSize(ws []ledger.Write) int {
 }
 
 // PersistMsg is a consensus node's batched PERSIST echo to all normal nodes
-// (Algo 1 line 18). One signature covers the batch.
+// (Algo 1 line 18). One signature covers the batch's persistDigest.
 type PersistMsg struct {
 	Node    int
 	Entries []PersistEntry
 	Sig     crypto.Signature
 
 	size int // lazy Size cache; persist echoes are immutable once multicast
+
+	// dig caches persistDigest(Node, Entries). Like PersistEntry.ck it is
+	// filled by the sender (seal) before the message is shared, never by
+	// receivers, which read it concurrently from different PDES partitions.
+	dig   crypto.Digest
+	digOK bool
 }
 
 // PersistEntry acknowledges one persisted result vector and carries the
@@ -337,8 +343,8 @@ func (e *PersistEntry) warmContentKey() {
 	e.ck, e.ckOK = e.contentKey(), true
 }
 
-// persistSigningBytes covers the batch content.
-func persistSigningBytes(node int, entries []PersistEntry) []byte {
+// persistDigest hashes the batch content; the batch MAC covers this digest.
+func persistDigest(node int, entries []PersistEntry) crypto.Digest {
 	buf := make([]byte, 0, 32+len(entries)*105)
 	buf = append(buf, byte(node))
 	for _, e := range entries {
@@ -359,7 +365,25 @@ func persistSigningBytes(node int, entries []PersistEntry) []byte {
 			buf = append(buf, w.Val...)
 		}
 	}
-	return buf
+	return crypto.Hash(buf)
+}
+
+// digest returns the kept persistDigest, or computes it from Entries for a
+// message the sender did not seal (hand-built or forged). The kept digest is
+// simulator state, not wire content: only seal sets it, from the entries it
+// signs, so it always equals what the receiver would compute.
+func (m *PersistMsg) digest() crypto.Digest {
+	if m.digOK {
+		return m.dig
+	}
+	return persistDigest(m.Node, m.Entries)
+}
+
+// seal keeps the batch digest and signs it; senders call it once, before
+// the message is shared with its receivers.
+func (m *PersistMsg) seal(sign func([]byte) crypto.Signature) {
+	m.dig, m.digOK = persistDigest(m.Node, m.Entries), true
+	m.Sig = sign(m.dig[:])
 }
 
 // Size implements simnet.Message. Cached: one shared object fans out to all

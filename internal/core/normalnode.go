@@ -104,6 +104,10 @@ type pendingBlock struct {
 	arrived  time.Duration
 	executed bool
 	fetching bool
+	// gate is where the commit gate (tryCommitBlock Step 4) resumes: every
+	// entry before it is committed, invalid or persisted, and none of the
+	// three ever reverts before the block commits.
+	gate int
 }
 
 // NormalNode is one BIDL normal node: it verifies and speculatively executes
@@ -767,7 +771,8 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 	// verification is MAC-rate, so large consensus clusters do not choke
 	// normal nodes on persist-echo verification.
 	n.ctx.Elapse(n.c.Cfg.Costs.MACVerify)
-	if !n.c.Scheme.Verify(cnIdentity(m.Node), persistSigningBytes(m.Node, m.Entries), m.Sig) {
+	// Each receiver runs its own MAC check, over the sender's kept digest.
+	if dig := m.digest(); !n.c.Scheme.Verify(cnIdentity(m.Node), dig[:], m.Sig) {
 		n.c.Collector.Reg.Inc("nn.persist_badsig", 1)
 		return
 	}
@@ -863,13 +868,17 @@ func (n *NormalNode) processBlocks() {
 	}
 }
 
-// tryCommitBlock returns true when the block fully committed.
+// tryCommitBlock returns true when the block fully committed. It runs again
+// whenever a persist message makes progress, so everything but the payload
+// check happens once per block: classification and execution (Steps 2-3)
+// on the first attempt with all payloads, and the commit gate (Step 4)
+// resumes where the last attempt stalled.
 func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	// Step 1: ensure payloads. Relatedness is only knowable with the
 	// payload, so missing ones are fetched from the block's proposer.
 	var missing []types.TxID
 	for _, h := range pb.hashes {
-		if _, ok := n.pool.byID(h); !ok && !n.pool.isCommitted(h) {
+		if _, ok := n.pool.seqOf(h); !ok && !n.pool.isCommitted(h) {
 			missing = append(missing, h)
 		}
 	}
@@ -887,104 +896,24 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		return false
 	}
 
-	// Step 2: classify related entries and detect speculation mismatches.
-	type relEntry struct {
-		seq uint64
-		tx  *types.Transaction
-	}
-	var related []relEntry
-	mismatch := false
-	for i, h := range pb.hashes {
-		if n.pool.isCommitted(h) {
-			continue
-		}
-		tx, _ := n.pool.byID(h)
-		if !n.structOK(tx) {
-			n.invalid[h] = true
-			n.checked[h] = true
-			continue
-		}
-		if !tx.RelatedTo(n.orgName) {
-			continue
-		}
-		seq := pb.seqs[i]
-		if !n.verifyTx(tx) {
-			// Invalid: vote aborted so the persist round completes.
-			if ps := n.persist[seq]; n.isDelegate() && (ps == nil || !ps.persisted) && !pb.executed {
-				n.routeInvalid(seq, tx)
-			}
-			continue
-		}
-		if sr, ok := n.spec[seq]; ok && sr.txID != h {
-			mismatch = true
-		}
-		related = append(related, relEntry{seq: seq, tx: tx})
-	}
-
-	// Step 3: if any related transaction was not cleanly speculated, fall
-	// back to the sequential workflow: discard all speculative state and
-	// re-execute every related transaction of the block in order against
-	// the committed state (§4.3 Phase 5). Executing only the missing ones
-	// against the live overlay would be wrong — the overlay may contain
-	// writes of later-sequenced transactions.
 	if !pb.executed {
 		pb.executed = true
-		clean := !mismatch
-		if clean {
-			for _, re := range related {
-				if sr, ok := n.spec[re.seq]; !ok || sr.txID != re.tx.ID() {
-					clean = false
-					break
-				}
-			}
-		}
-		if clean {
-			atomic.AddUint64(&n.c.Collector.SpecMatched, uint64(len(related)))
-		} else {
-			n.specReset()
-			for _, re := range related {
-				n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
-				rw := n.c.Registry.Execute(n.overlay, re.tx, n.nondet)
-				var res OrgResult
-				needResult := false
-				if ps := n.persist[re.seq]; n.isDelegate() && (ps == nil || !ps.persisted) {
-					res = n.makeOrgResult(re.seq, re.tx, rw)
-					needResult = true
-				}
-				n.overlayApply(rw)
-				sr := &specResult{txID: re.tx.ID(), rw: rw}
-				if needResult {
-					sr.orgRes = &res
-				}
-				n.spec[re.seq] = sr
-				atomic.AddUint64(&n.c.Collector.Reexecuted, 1)
-				if needResult {
-					n.routeOrgResult(re.seq, re.tx, res)
-				}
-			}
-			// Results flushed immediately: commit is waiting on them.
-			n.flushResults()
-		}
+		n.executeBlock(pb)
 	}
 
 	// Step 4: wait until every valid transaction's result persisted.
 	// Every node applies every committed write set (full world-state
 	// replication, as in HLF), so commit gates on all entries, not only
 	// related ones.
-	stalled := false
-	for i, h := range pb.hashes {
+	for ; pb.gate < len(pb.hashes); pb.gate++ {
+		h := pb.hashes[pb.gate]
 		if n.pool.isCommitted(h) || n.invalid[h] {
 			continue
 		}
-		ps := n.persist[pb.seqs[i]]
-		if ps == nil || !ps.persisted {
-			stalled = true
-			break
+		if ps := n.persist[pb.seqs[pb.gate]]; ps == nil || !ps.persisted {
+			n.armPersistRetry()
+			return false
 		}
-	}
-	if stalled {
-		n.armPersistRetry()
-		return false
 	}
 
 	// Step 5: apply and commit.
@@ -1045,6 +974,80 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	}
 	n.trySpeculate()
 	return true
+}
+
+// executeBlock classifies a block whose payloads are all pooled and brings
+// its related transactions' speculative results in line with the agreed
+// order. It runs once per block: payloads are content-addressed and
+// verifyTx is memoized, so a second pass could change nothing.
+func (n *NormalNode) executeBlock(pb *pendingBlock) {
+	// Step 2: classify related entries and detect speculation mismatches.
+	type relEntry struct {
+		seq uint64
+		tx  *types.Transaction
+	}
+	var related []relEntry
+	clean := true
+	for i, h := range pb.hashes {
+		if n.pool.isCommitted(h) {
+			continue
+		}
+		tx, _ := n.pool.byID(h)
+		if !n.structOK(tx) {
+			n.invalid[h] = true
+			n.checked[h] = true
+			continue
+		}
+		if !tx.RelatedTo(n.orgName) {
+			continue
+		}
+		seq := pb.seqs[i]
+		if !n.verifyTx(tx) {
+			// Invalid: vote aborted so the persist round completes.
+			if ps := n.persist[seq]; n.isDelegate() && (ps == nil || !ps.persisted) {
+				n.routeInvalid(seq, tx)
+			}
+			continue
+		}
+		if sr, ok := n.spec[seq]; !ok || sr.txID != h {
+			clean = false
+		}
+		related = append(related, relEntry{seq: seq, tx: tx})
+	}
+
+	// Step 3: if any related transaction was not cleanly speculated, fall
+	// back to the sequential workflow: discard all speculative state and
+	// re-execute every related transaction of the block in order against
+	// the committed state (§4.3 Phase 5). Executing only the missing ones
+	// against the live overlay would be wrong — the overlay may contain
+	// writes of later-sequenced transactions.
+	if clean {
+		atomic.AddUint64(&n.c.Collector.SpecMatched, uint64(len(related)))
+		return
+	}
+	n.specReset()
+	for _, re := range related {
+		n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
+		rw := n.c.Registry.Execute(n.overlay, re.tx, n.nondet)
+		var res OrgResult
+		needResult := false
+		if ps := n.persist[re.seq]; n.isDelegate() && (ps == nil || !ps.persisted) {
+			res = n.makeOrgResult(re.seq, re.tx, rw)
+			needResult = true
+		}
+		n.overlayApply(rw)
+		sr := &specResult{txID: re.tx.ID(), rw: rw}
+		if needResult {
+			sr.orgRes = &res
+		}
+		n.spec[re.seq] = sr
+		atomic.AddUint64(&n.c.Collector.Reexecuted, 1)
+		if needResult {
+			n.routeOrgResult(re.seq, re.tx, res)
+		}
+	}
+	// Results flushed immediately: commit is waiting on them.
+	n.flushResults()
 }
 
 // onChainStatus fetches blocks this node missed (BlockMsg loss recovery).

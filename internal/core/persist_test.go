@@ -98,7 +98,8 @@ func TestLemma52SplitVotesNeverPersist(t *testing.T) {
 			Writes: e.Union(),
 		}
 		msg := &PersistMsg{Node: cnIdx, Entries: []PersistEntry{entry}}
-		sig, err := c.Scheme.Sign(cnIdentity(cnIdx), persistSigningBytes(cnIdx, msg.Entries))
+		dig := persistDigest(cnIdx, msg.Entries)
+		sig, err := c.Scheme.Sign(cnIdentity(cnIdx), dig[:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,8 @@ func TestPersistVoteDeduplication(t *testing.T) {
 		Writes: a.Union(),
 	}
 	msg := &PersistMsg{Node: 0, Entries: []PersistEntry{entry}}
-	sig, _ := c.Scheme.Sign(cnIdentity(0), persistSigningBytes(0, msg.Entries))
+	dig := persistDigest(0, msg.Entries)
+	sig, _ := c.Scheme.Sign(cnIdentity(0), dig[:])
 	msg.Sig = sig
 	for i := 0; i < 5; i++ {
 		nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].ep.ID(), msg) })
@@ -172,5 +174,77 @@ func TestPersistRejectsForgedCN(t *testing.T) {
 	nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].ep.ID(), msg) })
 	if nn.persist[9001] != nil {
 		t.Fatal("forged persist batch processed")
+	}
+}
+
+// TestPersistRejectsAlteredWrites: a batch signed honestly and then altered
+// in one entry's write set fails verification when the message carries no
+// kept digest — receivers digest its Entries themselves.
+func TestPersistRejectsAlteredWrites(t *testing.T) {
+	cfg := smallConfig()
+	c, gen := buildCluster(t, cfg, defaultWorkload())
+	tx := gen.Next()
+	if err := tx.Sign(c.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	nn := c.Orgs[0][0]
+	writes := []ledger.Write{{Key: "k", Val: []byte("A")}}
+	entry := PersistEntry{
+		Seq: 9001, TxID: tx.ID(), Consistent: true,
+		ResultDigest: (&ledger.RWSet{Writes: writes}).Digest(), Writes: writes,
+	}
+	msg := &PersistMsg{Node: 0, Entries: []PersistEntry{entry}}
+	dig := persistDigest(0, msg.Entries)
+	sig, err := c.Scheme.Sign(cnIdentity(0), dig[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg.Sig = sig
+	if d := msg.digest(); !c.Scheme.Verify(cnIdentity(0), d[:], msg.Sig) {
+		t.Fatal("honest batch does not verify")
+	}
+	msg.Entries[0].Writes = []ledger.Write{{Key: "k", Val: []byte("B")}}
+	nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].ep.ID(), msg) })
+	if nn.persist[9001] != nil {
+		t.Fatal("batch with altered writes processed")
+	}
+}
+
+// TestPersistSendersKeepDigest: both PERSIST senders — the batched echo and
+// the loss-recovery re-send — keep the batch digest on the message they
+// sign, so receivers MAC-check 32 bytes instead of re-encoding the batch.
+func TestPersistSendersKeepDigest(t *testing.T) {
+	cfg := smallConfig()
+	c, gen := buildCluster(t, cfg, defaultWorkload())
+	tx := gen.Next()
+	tx.Orgs = tx.Orgs[:1]
+	if err := tx.Sign(c.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	var sent []*PersistMsg
+	c.Net.DropFilter = func(_, _ simnet.NodeID, msg simnet.Message) bool {
+		if pm, ok := msg.(*PersistMsg); ok && (len(sent) == 0 || sent[len(sent)-1] != pm) {
+			sent = append(sent, pm)
+		}
+		return false
+	}
+	const seq = uint64(9001)
+	cn := c.ConsNodes[0]
+	cnWithCtx(c, cn, func() {
+		cn.Proposed(0, valueFor(seq, tx))
+		cn.evaluateResult(mkVector(t, c, seq, tx, "A"))
+		cn.flushPersist()
+		cn.onPersistFetch(c.Orgs[0][0].ep.ID(), &PersistFetchReq{Seqs: []uint64{seq}})
+	})
+	if len(sent) != 2 {
+		t.Fatalf("captured %d persist messages, want 2 (flush, fetch reply)", len(sent))
+	}
+	for i, m := range sent {
+		if !m.digOK || m.dig != persistDigest(m.Node, m.Entries) {
+			t.Fatalf("message %d: kept digest %x (ok=%v), want persistDigest of its entries", i, m.dig, m.digOK)
+		}
+		if !c.Scheme.Verify(cnIdentity(m.Node), m.dig[:], m.Sig) {
+			t.Fatalf("message %d: signature does not cover the kept digest", i)
+		}
 	}
 }

@@ -53,29 +53,25 @@ func (bs *BlockStore) Append(b *types.Block) error {
 	return nil
 }
 
-// Equal reports whether two chains contain identical block headers.
-func (bs *BlockStore) Equal(o *BlockStore) bool {
-	if bs.Height() != o.Height() {
-		return false
+// HeaderDigests hashes every stored block's header. The hashes are taken
+// now, not remembered from Append, so a block mutated after it was appended
+// shows up in an audit.
+func (bs *BlockStore) HeaderDigests() []crypto.Digest {
+	out := make([]crypto.Digest, len(bs.blocks))
+	for i, b := range bs.blocks {
+		out[i] = b.HeaderDigest()
 	}
-	for i := range bs.blocks {
-		if bs.blocks[i].HeaderDigest() != o.blocks[i].HeaderDigest() {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
-// CommonPrefixEqual reports whether the shorter chain is a prefix of the
-// longer one — the safety property that holds even while nodes are at
-// different heights.
-func (bs *BlockStore) CommonPrefixEqual(o *BlockStore) bool {
-	n := bs.Height()
-	if o.Height() < n {
-		n = o.Height()
-	}
-	for i := uint64(0); i < n; i++ {
-		if bs.blocks[i].HeaderDigest() != o.blocks[i].HeaderDigest() {
+// CommonPrefixEqual reports whether the shorter of this chain and the chain
+// whose header digests are ref is a prefix of the longer one — the safety
+// property that holds even while nodes are at different heights. Every
+// compared block of this chain is hashed afresh.
+func (bs *BlockStore) CommonPrefixEqual(ref []crypto.Digest) bool {
+	n := min(len(bs.blocks), len(ref))
+	for i := 0; i < n; i++ {
+		if bs.blocks[i].HeaderDigest() != ref[i] {
 			return false
 		}
 	}

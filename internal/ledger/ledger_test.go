@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -259,11 +260,45 @@ func TestBlockStoreEqualAndPrefix(t *testing.T) {
 			}
 		}
 	}
-	if a.Equal(b) {
-		t.Fatal("chains of different heights reported equal")
-	}
-	if !a.CommonPrefixEqual(b) {
+	if !a.CommonPrefixEqual(b.HeaderDigests()) || !b.CommonPrefixEqual(a.HeaderDigests()) {
 		t.Fatal("prefix chains reported divergent")
+	}
+	c := NewBlockStore()
+	for i := uint64(0); i < 2; i++ {
+		blk := makeBlock(i, c.LastDigest())
+		if i == 1 {
+			blk.Seqs[0] = 99
+		}
+		if err := c.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.CommonPrefixEqual(c.HeaderDigests()) || c.CommonPrefixEqual(a.HeaderDigests()) {
+		t.Fatal("chains diverging at block 1 reported prefix-equal")
+	}
+}
+
+// TestCheckConsistencyRehashesStoredBlocks: the audit hashes every stored
+// block when it runs, so a block mutated after Append fails it and the
+// error names the mutated view.
+func TestCheckConsistencyRehashesStoredBlocks(t *testing.T) {
+	views := make([]SafetyView, 3)
+	for v := range views {
+		bs := NewBlockStore()
+		for i := uint64(0); i < 3; i++ {
+			if err := bs.Append(makeBlock(i, bs.LastDigest())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		views[v] = SafetyView{Label: fmt.Sprintf("node %d", v), Blocks: bs}
+	}
+	if err := CheckConsistency("test", nil, views, nil); err != nil {
+		t.Fatalf("identical ledgers failed the audit: %v", err)
+	}
+	views[2].Blocks.Get(1).Hashes[0][0] ^= 1
+	err := CheckConsistency("test", nil, views, nil)
+	if err == nil || !strings.Contains(err.Error(), "node 2 ledger diverges") {
+		t.Fatalf("mutated block in node 2: audit returned %v", err)
 	}
 }
 

@@ -24,8 +24,9 @@ func CheckConsistency(system string, violations []string, ledgers []SafetyView, 
 	}
 	if len(ledgers) > 0 {
 		ref := ledgers[0]
+		refDigests := ref.Blocks.HeaderDigests()
 		for _, v := range ledgers[1:] {
-			if !ref.Blocks.CommonPrefixEqual(v.Blocks) {
+			if !v.Blocks.CommonPrefixEqual(refDigests) {
 				return fmt.Errorf("%s: %s ledger diverges from %s", system, v.Label, ref.Label)
 			}
 		}
